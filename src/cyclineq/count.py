@@ -1,19 +1,21 @@
 """Counting permutations whose forward displacements stay within a band.
 
-P(n, k) counts the sigma in S_n with every (sigma(i) - i) mod n <= k, which
-is the permanent of the circulant 0/1 matrix allowing offsets 0..k.  The
-permanent runs over exact Python integers, so no size overflows; the count
-follows the Lucas numbers at k = 2 apart from small initial exceptions,
-which the report determines empirically.
+P(n, k) counts the sigma in S_n with every (sigma(i) - i) mod n <= k, the
+permanent of the circulant 0/1 matrix allowing offsets 0..k.  It is computed
+as trace(T^n) by the transfer-matrix method in exact Python integers, so no
+size overflows; the count follows the Lucas numbers at k = 2 apart from
+small initial exceptions, which the report determines empirically.
 """
 
-import itertools
 from dataclasses import dataclass
+from itertools import combinations
 from math import factorial
+
+import numpy as np
 
 from .errors import BadDimension, BudgetExceeded
 
-RYSER_MAX_N = 20
+MAX_K = 8
 BRUTE_FORCE_MAX_N = 9
 
 
@@ -24,10 +26,6 @@ class BandMatrix:
     n: int
     k: int
     entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def row_sum(self) -> int:
-        return min(self.k, self.n - 1) + 1
 
 
 def band_matrix(n: int, k: int) -> BandMatrix:
@@ -42,55 +40,57 @@ def band_matrix(n: int, k: int) -> BandMatrix:
     return BandMatrix(n, k, entries)
 
 
-def _ryser_permanent(entries) -> int:
-    """Permanent by inclusion-exclusion over column subsets, visiting
-    subsets in Gray-code order so each step updates one column."""
-    n = len(entries)
-    total = 0
-    rowsum = [0] * n
-    gray = 0
-    parity = 0
-    for m in range(1, 1 << n):
-        j = (m & -m).bit_length() - 1
-        flipped = gray ^ (1 << j)
-        sign = 1 if flipped > gray else -1
-        gray = flipped
-        for i in range(n):
-            rowsum[i] += sign * entries[i][j]
-        parity ^= 1
-        prod = 1
-        for s in rowsum:
-            prod *= s
-            if prod == 0:
-                break
-        total += -prod if parity else prod
-    return total if n % 2 == 0 else -total
+def _transfer_blocks(k: int):
+    """The blocks of T.  A state is the bitmask of the next k columns that
+    earlier rows took; the row takes a free offset t in 0..k, the current
+    column (bit 0) must then be taken, and the window shifts by one.  That
+    keeps the state's size p, so T is block diagonal, one block per p."""
+    for p in range(k + 1):
+        states = [sum(1 << b for b in bits) for bits in combinations(range(k), p)]
+        block = np.zeros((len(states), len(states)), dtype=object)
+        for i, state in enumerate(states):
+            for t in range(k + 1):
+                taken = state | 1 << t
+                if taken != state and taken & 1:
+                    block[i, states.index(taken >> 1)] += 1
+        yield block
 
 
-def count_band_permutations(n: int, k: int, max_n: int = RYSER_MAX_N) -> int:
-    """P(n, k), exact.  Full band (k >= n-1) short-circuits to n!."""
+def count_band_permutations(n: int, k: int, max_k: int = MAX_K) -> int:
+    """P(n, k), exact.  Full band (k >= n-1) short-circuits to n!; below
+    it, the transfer matrix has C(k, p) states per block, so k is capped."""
     if n <= 1:
         raise BadDimension(f"need n > 1, got n={n}")
     if k < 0:
         raise ValueError("need k >= 0")
     if k >= n - 1:
         return factorial(n)
-    if n > max_n:
-        raise BudgetExceeded(f"permanent budget is n <= {max_n}, got n={n}")
-    return _ryser_permanent(band_matrix(n, k).entries)
+    if k > max_k:
+        raise BudgetExceeded(f"transfer-matrix budget is k <= {max_k}, got k={k}")
+    return sum(int(np.trace(np.linalg.matrix_power(block, n)))
+               for block in _transfer_blocks(k))
 
 
 def brute_force_count(n: int, k: int, max_n: int = BRUTE_FORCE_MAX_N) -> int:
-    """Oracle: enumerate S_n and filter by maximal forward displacement."""
+    """Oracle: exhaustive backtracking that gives row i, in turn, each free
+    column i + t (mod n) with t in 0..k, and counts the complete bijections."""
     if n <= 1:
         raise BadDimension(f"need n > 1, got n={n}")
     if n > max_n:
         raise BudgetExceeded(f"enumeration budget is n <= {max_n}, got n={n}")
-    count = 0
-    for images in itertools.permutations(range(1, n + 1)):
-        if all((images[i] - (i + 1)) % n <= k for i in range(n)):
-            count += 1
-    return count
+    offsets = range(min(k, n - 1) + 1)
+
+    def extend(row: int, used: int) -> int:
+        if row == n:
+            return 1
+        total = 0
+        for t in offsets:
+            column = 1 << (row + t) % n
+            if not used & column:
+                total += extend(row + 1, used | column)
+        return total
+
+    return extend(0, 0)
 
 
 def lucas(n: int) -> int:
@@ -98,11 +98,9 @@ def lucas(n: int) -> int:
     if n < 0:
         raise ValueError("need n >= 0")
     a, b = 2, 1
-    if n == 0:
-        return a
-    for _ in range(n - 1):
+    for _ in range(n):
         a, b = b, a + b
-    return b
+    return a
 
 
 @dataclass(frozen=True)
@@ -119,6 +117,8 @@ def lucas_identity_report(n_max: int) -> list[LucasRow]:
     The identity fails only for small initial n; which ones is decided
     empirically here rather than assumed.
     """
+    if n_max <= 1:
+        raise BadDimension(f"the Lucas table needs n_max > 1, got n_max={n_max}")
     rows = []
     for n in range(2, n_max + 1):
         count = count_band_permutations(n, 2)

@@ -114,7 +114,7 @@ def check_band_counts(fault=False):
             a = bandcount.count_band_permutations(n, k)
             b = bandcount.brute_force_count(n, k)
             if a != b:
-                return False, f"P({n},{k}) permanent {a} != brute force {b}"
+                return False, f"P({n},{k}) transfer matrix {a} != brute force {b}"
         if bandcount.count_band_permutations(n, 0) != 1:
             return False, f"P({n},0) != 1"
         if bandcount.count_band_permutations(n, 1) != 2:
@@ -122,7 +122,7 @@ def check_band_counts(fault=False):
     bad = [row.n for row in bandcount.lucas_identity_report(8) if not row.match]
     if bad != [2]:
         return False, f"Lucas identity outliers {bad}, expected [2]"
-    return True, "permanent == enumeration (n<=6), Lucas identity from n=3"
+    return True, "transfer matrix == enumeration (n<=6), Lucas identity from n=3"
 
 
 def check_properties(fault=False):

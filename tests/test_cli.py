@@ -157,6 +157,19 @@ class TestCount:
             main(["count"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "5", "--k", "-1"], "error: count needs --k >= 0 (or --lucas-table)"),
+        (["--lucas-table", "1"], "error: the Lucas table needs n_max > 1, got n_max=1"),
+        (["--lucas-table", "-4"], "error: the Lucas table needs n_max > 1, got n_max=-4"),
+        (["--n", "1", "--k", "0"], "error: need n > 1, got n=1"),
+        (["--n", "10", "--k", "2", "--oracle"], "error: enumeration budget is n <= 9, got n=10"),
+        (["--n", "30", "--k", "9"], "error: transfer-matrix budget is k <= 8, got k=9"),
+    ])
+    def test_bad_input_is_one_line_domain_error(self, capsys, argv, message):
+        code, out, err = run(capsys, "count", *argv)
+        assert code == 1 and out == ""
+        assert err == message + "\n"
+
 
 class TestShapiroSweep:
     def test_sweep(self, capsys, tmp_path):

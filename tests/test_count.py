@@ -14,6 +14,41 @@ from cyclineq import (
     lucas_identity_report,
     make_permutation,
 )
+from cyclineq.count import MAX_K
+
+
+def ryser_permanent(entries) -> int:
+    """Second oracle: the permanent by inclusion-exclusion over column
+    subsets, visiting subsets in Gray-code order so each step updates one
+    column."""
+    n = len(entries)
+    total = 0
+    rowsum = [0] * n
+    gray = 0
+    parity = 0
+    for m in range(1, 1 << n):
+        j = (m & -m).bit_length() - 1
+        flipped = gray ^ (1 << j)
+        sign = 1 if flipped > gray else -1
+        gray = flipped
+        for i in range(n):
+            rowsum[i] += sign * entries[i][j]
+        parity ^= 1
+        prod = 1
+        for s in rowsum:
+            prod *= s
+            if prod == 0:
+                break
+        total += -prod if parity else prod
+    return total if n % 2 == 0 else -total
+
+
+def filtered_count(n: int, k: int) -> int:
+    """Literal definition: filter all of S_n by maximal forward displacement."""
+    return sum(
+        all((images[i] - (i + 1)) % n <= k for i in range(n))
+        for images in itertools.permutations(range(1, n + 1))
+    )
 
 
 class TestBandMatrix:
@@ -77,9 +112,24 @@ class TestCounts:
             assert counts == sorted(counts)
             assert counts[-1] == factorial(n)
 
+    def test_transfer_matrix_matches_ryser(self):
+        for n in range(2, 15):
+            for k in range(min(7, n - 2) + 1):
+                expected = ryser_permanent(band_matrix(n, k).entries)
+                assert count_band_permutations(n, k) == expected, (n, k)
+
+    def test_backtracking_matches_filter(self):
+        for n in range(2, 8):
+            for k in range(n + 1):
+                assert brute_force_count(n, k) == filtered_count(n, k), (n, k)
+
     def test_budgets(self):
-        with pytest.raises(BudgetExceeded):
-            count_band_permutations(21, 2)
+        assert count_band_permutations(21, 2) == 2 + lucas(21)
+        at_cap = ryser_permanent(band_matrix(10, MAX_K).entries)
+        assert count_band_permutations(10, MAX_K) == at_cap
+        for n, k in ((11, MAX_K + 1), (30, MAX_K + 1), (30, 28)):
+            with pytest.raises(BudgetExceeded):
+                count_band_permutations(n, k)
         with pytest.raises(BudgetExceeded):
             brute_force_count(10, 2)
         with pytest.raises(BadDimension):
@@ -110,3 +160,9 @@ class TestLucas:
         assert by_n[3].count == 6 and by_n[3].lucas_plus_two == 6 and by_n[3].match
         assert by_n[2].count == 2 and by_n[2].lucas_plus_two == 5 and not by_n[2].match
         assert all(by_n[n].match for n in range(3, 9))
+
+    def test_identity_to_1000(self):
+        rows = lucas_identity_report(1000)
+        assert all(row.count == 2 + lucas(row.n) for row in rows if row.n >= 3)
+        with pytest.raises(BadDimension):
+            lucas_identity_report(1)
