@@ -183,10 +183,10 @@ def _cmd_count(args) -> int:
             for row in rows:
                 print(f"{row.n},{row.count},{row.lucas_plus_two},{row.match}")
         else:
-            _emit({"rows": [vars(row) for row in rows]})
+            _emit({"rows": [vars(row) | {} for row in rows]})
         return 0
-    if args.k is None or args.k < 0:
-        raise CyclineqError("count needs --k >= 0 (or --lucas-table)")
+    if args.k is None:
+        raise CyclineqError("count needs --k (or --lucas-table)")
     doc = {"n": args.n, "k": args.k, "count": count_band_permutations(args.n, args.k)}
     if args.oracle:
         doc["oracle_count"] = brute_force_count(args.n, args.k)

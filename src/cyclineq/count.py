@@ -1,21 +1,21 @@
 """Counting permutations whose forward displacements stay within a band.
 
 P(n, k) counts the sigma in S_n with every (sigma(i) - i) mod n <= k, the
-permanent of the circulant 0/1 matrix allowing offsets 0..k.  It is computed
-as trace(T^n) by the transfer-matrix method in exact Python integers, so no
-size overflows; the count follows the Lucas numbers at k = 2 apart from
-small initial exceptions, which the report determines empirically.
+permanent of the circulant 0/1 matrix allowing offsets 0..k, computed as
+trace(T^n) by the transfer-matrix method in exact Python integers.  At k = 2
+it follows the Lucas numbers apart from small initial n, found empirically.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import factorial
+from math import factorial, log10
 
 import numpy as np
 
 from .errors import BadDimension, BudgetExceeded
 
 MAX_K = 8
+MAX_DIGITS = 1000
 BRUTE_FORCE_MAX_N = 9
 
 
@@ -41,10 +41,9 @@ def band_matrix(n: int, k: int) -> BandMatrix:
 
 
 def _transfer_blocks(k: int):
-    """The blocks of T.  A state is the bitmask of the next k columns that
-    earlier rows took; the row takes a free offset t in 0..k, the current
-    column (bit 0) must then be taken, and the window shifts by one.  That
-    keeps the state's size p, so T is block diagonal, one block per p."""
+    """The blocks of T.  A state is the bitmask of the next k columns earlier
+    rows took; a row takes a free offset t in 0..k, bit 0 must then be taken,
+    and the window shifts, which keeps the state's size p: one block per p."""
     for p in range(k + 1):
         states = [sum(1 << b for b in bits) for bits in combinations(range(k), p)]
         block = np.zeros((len(states), len(states)), dtype=object)
@@ -56,19 +55,26 @@ def _transfer_blocks(k: int):
         yield block
 
 
-def count_band_permutations(n: int, k: int, max_k: int = MAX_K) -> int:
-    """P(n, k), exact.  Full band (k >= n-1) short-circuits to n!; below
-    it, the transfer matrix has C(k, p) states per block, so k is capped."""
+def _check_budget(n: int, k: int) -> None:
+    """Refuse before any work.  Below the full band T has C(k, p) states per
+    block; every row has min(k, n-1) + 1 columns, so P(n, k) <= that ** n."""
+    if k < n - 1 and k > MAX_K:
+        raise BudgetExceeded(f"transfer-matrix budget is k <= {MAX_K}, got k={k}")
+    choices = min(k, n - 1) + 1
+    if n * log10(choices) > MAX_DIGITS:
+        raise BudgetExceeded(f"budget is {MAX_DIGITS} digits, got P({n},{k}) <= {choices}^{n}")
+
+
+def count_band_permutations(n: int, k: int) -> int:
+    """P(n, k), exact.  Full band (k >= n-1) short-circuits to n!."""
     if n <= 1:
         raise BadDimension(f"need n > 1, got n={n}")
     if k < 0:
-        raise ValueError("need k >= 0")
+        raise BadDimension(f"need k >= 0, got k={k}")
+    _check_budget(n, k)
     if k >= n - 1:
         return factorial(n)
-    if k > max_k:
-        raise BudgetExceeded(f"transfer-matrix budget is k <= {max_k}, got k={k}")
-    return sum(int(np.trace(np.linalg.matrix_power(block, n)))
-               for block in _transfer_blocks(k))
+    return sum(int(np.trace(np.linalg.matrix_power(b, n))) for b in _transfer_blocks(k))
 
 
 def brute_force_count(n: int, k: int, max_n: int = BRUTE_FORCE_MAX_N) -> int:
@@ -98,9 +104,11 @@ def lucas(n: int) -> int:
     if n < 0:
         raise ValueError("need n >= 0")
     a, b = 2, 1
-    for _ in range(n):
+    if n == 0:
+        return a
+    for _ in range(n - 1):
         a, b = b, a + b
-    return a
+    return b
 
 
 @dataclass(frozen=True)
@@ -119,6 +127,7 @@ def lucas_identity_report(n_max: int) -> list[LucasRow]:
     """
     if n_max <= 1:
         raise BadDimension(f"the Lucas table needs n_max > 1, got n_max={n_max}")
+    _check_budget(n_max, 2)
     rows = []
     for n in range(2, n_max + 1):
         count = count_band_permutations(n, 2)

@@ -158,12 +158,18 @@ class TestCount:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv, message", [
-        (["--n", "5", "--k", "-1"], "error: count needs --k >= 0 (or --lucas-table)"),
+        (["--n", "5", "--k", "-1"], "error: need k >= 0, got k=-1"),
         (["--lucas-table", "1"], "error: the Lucas table needs n_max > 1, got n_max=1"),
         (["--lucas-table", "-4"], "error: the Lucas table needs n_max > 1, got n_max=-4"),
         (["--n", "1", "--k", "0"], "error: need n > 1, got n=1"),
         (["--n", "10", "--k", "2", "--oracle"], "error: enumeration budget is n <= 9, got n=10"),
         (["--n", "30", "--k", "9"], "error: transfer-matrix budget is k <= 8, got k=9"),
+        (["--n", "100000", "--k", "8"],
+         "error: budget is 1000 digits, got P(100000,8) <= 9^100000"),
+        (["--n", "5000", "--k", "4999"],
+         "error: budget is 1000 digits, got P(5000,4999) <= 5000^5000"),
+        (["--lucas-table", "21000"],
+         "error: budget is 1000 digits, got P(21000,2) <= 3^21000"),
     ])
     def test_bad_input_is_one_line_domain_error(self, capsys, argv, message):
         code, out, err = run(capsys, "count", *argv)

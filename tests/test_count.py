@@ -14,7 +14,7 @@ from cyclineq import (
     lucas_identity_report,
     make_permutation,
 )
-from cyclineq.count import MAX_K
+from cyclineq.count import MAX_DIGITS, MAX_K
 
 
 def ryser_permanent(entries) -> int:
@@ -134,6 +134,19 @@ class TestCounts:
             brute_force_count(10, 2)
         with pytest.raises(BadDimension):
             count_band_permutations(1, 0)
+        with pytest.raises(BadDimension):
+            count_band_permutations(5, -1)
+
+    def test_digit_budget(self):
+        # (k+1)^n bounds P(n, k); n is refused once that bound passes MAX_DIGITS
+        assert MAX_DIGITS == 1000
+        assert count_band_permutations(2095, 2) == 2 + lucas(2095)
+        assert count_band_permutations(10**6, 0) == 1
+        for n, k in ((2096, 2), (1048, MAX_K), (10**5, MAX_K), (450, 449)):
+            with pytest.raises(BudgetExceeded, match="1000 digits"):
+                count_band_permutations(n, k)
+        with pytest.raises(BudgetExceeded, match="1000 digits"):
+            lucas_identity_report(2096)
 
     def test_classifier_consistency(self):
         # P(n, k) counts exactly the sigma admitted on the k >= 0 branch
