@@ -5,8 +5,8 @@ nothing to refute, invalid certificate, ...), 2 on usage errors.
 """
 
 import argparse
+import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -60,11 +60,12 @@ def _parse_k(text: str) -> tuple[float, RationalExponent | None]:
         raise CyclineqError(f"cannot parse --k {text!r}") from err
 
 
-def _threads(args) -> int:
-    env = os.environ.get("CYCLINEQ_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return max(1, getattr(args, "threads", 1))
+def _search_config(args, **fields) -> SearchConfig:
+    try:
+        return SearchConfig(restarts=args.restarts, max_iters=args.max_iters,
+                            seed=args.seed, **fields)
+    except ValueError as err:
+        raise CyclineqError(str(err)) from err
 
 
 def _emit(doc) -> None:
@@ -154,19 +155,16 @@ def _cmd_search(args) -> int:
             raise CyclineqError(f"search --ineq {args.ineq} needs --k")
         k, _ = _parse_k(args.k)
     instance = InequalityInstance(kind, n, sigma=sigma, k=k, p=args.p)
-    config = SearchConfig(
-        restarts=args.restarts, max_iters=args.max_iters, seed=args.seed,
-        grid_points_per_dim=args.grid_points,
-    )
-    trace_rows = [] if (args.trace or args.emit_plot) else None
+    config = _search_config(args, grid_points_per_dim=args.grid_points)
+    trace_rows = [] if args.trace else None
     if args.grid:
         report = grid_oracle(instance, config)
     else:
-        report = minimize_gap(instance, config, threads=_threads(args), trace=trace_rows)
-    for path in filter(None, [args.trace, args.emit_plot]):
-        with open(path, "w", encoding="utf-8") as fh:
+        report = minimize_gap(instance, config, trace=trace_rows)
+    if args.trace:
+        with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write("restart,iteration,gap,step\n")
-            for row in trace_rows or []:
+            for row in trace_rows:
                 fh.write("{},{},{!r},{!r}\n".format(*row))
     doc = report.to_json_dict()
     doc["mode"] = "grid" if args.grid else "search"
@@ -197,8 +195,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_shapiro(args) -> int:
     ks = np.linspace(args.k_min, args.k_max, args.k_steps)
-    config = SearchConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
-    reports = sweep_exponent(args.n, ks, config, threads=_threads(args))
+    reports = sweep_exponent(args.n, ks, _search_config(args))
     rows = [{"k": float(k), "gap": rep.gap, "x": list(rep.x)}
             for k, rep in zip(ks, reports)]
     if args.emit_plot:
@@ -224,6 +221,7 @@ def _cmd_selftest(args) -> int:
     return 0 if all(ok for _, ok, _ in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclineq",
@@ -264,9 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", action="store_true", help="use the grid oracle instead")
     p.add_argument("--grid-points", type=int, default=13)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--trace", metavar="FILE", help="CSV of descent iterates")
-    p.add_argument("--emit-plot", metavar="FILE", help="same CSV, for plotting")
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("count", help="count band permutations")
@@ -285,14 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--emit-plot", metavar="FILE")
     p.set_defaults(fn=_cmd_shapiro)
 
     p = sub.add_parser("selftest", help="run the reduced acceptance battery")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--inject-fault", metavar="CHECK",
-                   help="corrupt one check to demonstrate failure reporting")
+    p.add_argument("--inject-fault", metavar="CHECK", choices=["witness"],
+                   help="corrupt the certificates of the witness check "
+                        "to demonstrate failure reporting")
     p.set_defaults(fn=_cmd_selftest)
 
     return parser

@@ -14,10 +14,11 @@ verdict marginal the gap is recomputed with 50-digit arithmetic.
 
 from dataclasses import dataclass
 from decimal import Context
-from math import isfinite
+from math import isfinite, log
+from sys import float_info
 
 from .classify import holds, violating_indices
-from .errors import NotRefutable
+from .errors import BudgetExceeded, NotRefutable
 from .perm import Permutation, shift_permutation, wrap_index
 from .search import (
     GapReport,
@@ -114,25 +115,37 @@ def _pick_overshoot_index(pairs: list[tuple[int, int]]) -> tuple[int, int]:
     return best_i, best_d
 
 
+def _geometric_vector(n: int, start: int, step: int, overshoot: float) -> list[float]:
+    """x_start = 2, growing by the factor (n+1)^(1/overshoot) at each step
+    of `step` (+1 or -1) around the cycle from there."""
+    # the largest coordinate bounds the ratio too, since n - 1 >= 1
+    log_largest = log(2.0) + (n - 1) * log(n + 1) / overshoot
+    if log_largest > log(float_info.max):
+        raise BudgetExceeded(
+            f"overshoot R={overshoot:.6g} is too small: the geometric counterexample "
+            f"needs coordinates near 10^{log_largest / log(10):.0f}, past the float64 range"
+        )
+    ratio = (n + 1) ** (1.0 / overshoot)
+    x = [0.0] * n
+    for t in range(n):
+        x[wrap_index(n, start + step * t) - 1] = 2.0 * ratio ** t
+    return x
+
+
 def refute_main_positive_k(sigma: Permutation, k: float) -> CounterexampleReport:
     """Geometric counterexample to the main inequality for k >= 0.
 
     With i0 the index of largest forward displacement and R its overshoot
     past k, the vector fixes x_{i0-1} = 2 and grows by the factor
-    (n+1)^(1/R) at each step backward from there.
+    (n+1)^(1/R) at each step backward from there.  Raises BudgetExceeded
+    when R is so small that the vector leaves the float64 range.
     """
     if k < 0:
         raise ValueError("use refute_main_negative_k for k < 0")
     if holds(sigma, k):
         raise NotRefutable(f"the inequality holds for k={k}")
-    n = sigma.n
     i0, disp = _pick_overshoot_index(violating_indices(sigma, k))
-    ratio = (n + 1) ** (1.0 / (disp - k))
-    x = [0.0] * n
-    x[wrap_index(n, i0 - 1) - 1] = 2.0
-    for t in range(1, n):
-        x[wrap_index(n, i0 - 1 - t) - 1] = 2.0 * ratio ** t
-    return _confirmed(main_instance(sigma, k), x)
+    return _confirmed(main_instance(sigma, k), _geometric_vector(sigma.n, i0 - 1, -1, disp - k))
 
 
 def refute_main_negative_k(sigma: Permutation, k: float) -> CounterexampleReport:
@@ -141,14 +154,8 @@ def refute_main_negative_k(sigma: Permutation, k: float) -> CounterexampleReport
         raise ValueError("use refute_main_positive_k for k >= 0")
     if holds(sigma, k):
         raise NotRefutable(f"the inequality holds for k={k}")
-    n = sigma.n
     i0, disp = _pick_overshoot_index(violating_indices(sigma, k))
-    ratio = (n + 1) ** (1.0 / (disp + k))
-    x = [0.0] * n
-    x[wrap_index(n, i0 + 1) - 1] = 2.0
-    for t in range(1, n):
-        x[wrap_index(n, i0 + 1 + t) - 1] = 2.0 * ratio ** t
-    return _confirmed(main_instance(sigma, k), x)
+    return _confirmed(main_instance(sigma, k), _geometric_vector(sigma.n, i0 + 1, 1, disp + k))
 
 
 def refute_main(sigma: Permutation, k: float) -> CounterexampleReport:

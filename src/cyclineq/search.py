@@ -7,8 +7,7 @@ claims no global guarantee; it serves as an oracle, and failures of an
 inequality are always certified by closed-form vectors elsewhere.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from math import log
 
@@ -151,25 +150,23 @@ def _sides_and_grad(instance: InequalityInstance, Y: np.ndarray, want_grad: bool
         D = X1 + X2
         T = (X / D) ** k
         lhs = T.sum(axis=1)
+        if want_grad:
+            grad = k * (T - np.roll(T * X1 / D, 1, axis=1)
+                        - np.roll(T * X2 / D, 2, axis=1))
         if kind == InequalityKind.SHAPIRO_EXPONENT:
             rhs = np.full(len(X), n / 2.0)
-            if want_grad:
-                grad = k * (T - np.roll(T * X1 / D, 1, axis=1)
-                            - np.roll(T * X2 / D, 2, axis=1))
         else:
-            sigma = instance.sigma
-            s1 = np.array(sigma.images) - 1
+            s1 = np.array(instance.sigma.images) - 1
             s2 = s1[s1]
             DR = X[:, s1] + X[:, s2]
             R = X / DR
             rhs = R.sum(axis=1)
             if want_grad:
-                grad = k * (T - np.roll(T * X1 / D, 1, axis=1)
-                            - np.roll(T * X2 / D, 2, axis=1))
-                for i in range(n):
-                    grad[:, i] -= R[:, i]
-                    grad[:, s1[i]] += R[:, i] * X[:, s1[i]] / DR[:, i]
-                    grad[:, s2[i]] += R[:, i] * X[:, s2[i]] / DR[:, i]
+                # term i depends on x_i, x_s1(i) and x_s2(i); s1 and s2 are
+                # permutations, so neither scatter repeats a column
+                grad -= R
+                grad[:, s1] += R * X[:, s1] / DR
+                grad[:, s2] += R * X[:, s2] / DR
     elif kind in (InequalityKind.NESBITT_CLASSIC, InequalityKind.NESBITT_EXPONENT):
         kk = 1.0 if kind == InequalityKind.NESBITT_CLASSIC else k
         S = X.sum(axis=1, keepdims=True) - X  # s_i = sum of the other coordinates
@@ -205,17 +202,29 @@ def gap_and_gradient(instance: InequalityInstance, y) -> tuple[float, np.ndarray
     return float(lhs[0] - rhs[0]), grad[0]
 
 
-def _descend_chunk(instance, Y, config, offset, trace):
-    """Adaptive-step gradient descent on a batch of start points."""
-    m = len(Y)
-    step = np.full(m, config.step_init)
+def minimize_gap(instance: InequalityInstance, config: SearchConfig | None = None,
+                 trace: list | None = None) -> GapReport:
+    """Multi-start adaptive-step descent on the gap; returns the best point found.
+
+    The first restart starts at the uniform point (all coordinates equal);
+    the rest start log-uniform over the grid range.  All restarts descend
+    together as one batch, so the result is bit-identical for a fixed
+    config; ties between restarts break toward the lowest index.
+    """
+    if config is None:
+        config = SearchConfig()
+    rng = np.random.default_rng(config.seed)
+    Y = rng.uniform(GRID_LOG_MIN, GRID_LOG_MAX, size=(config.restarts, instance.n))
+    Y[0] = 0.0
+    Y[:, 0] = 0.0
+    step = np.full(config.restarts, config.step_init)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lhs, rhs, grad = _sides_and_grad(instance, Y, want_grad=True)
         gap = np.where(np.isfinite(lhs - rhs), lhs - rhs, np.inf)
         for it in range(config.max_iters):
             if trace is not None:
-                for r in range(m):
-                    trace.append((offset + r, it, float(gap[r]), float(step[r])))
+                for r in range(config.restarts):
+                    trace.append((r, it, float(gap[r]), float(step[r])))
             proposal = np.clip(Y - step[:, None] * grad, -60.0, 60.0)
             proposal[:, 0] = 0.0
             lhs2, rhs2, grad2 = _sides_and_grad(instance, proposal, want_grad=True)
@@ -228,38 +237,7 @@ def _descend_chunk(instance, Y, config, offset, trace):
             step[~improved] *= 0.5
             if step.max() < config.tolerance:
                 break
-    best = int(np.argmin(gap))
-    return float(gap[best]), offset + best, Y[best].copy()
-
-
-def minimize_gap(instance: InequalityInstance, config: SearchConfig | None = None,
-                 threads: int = 1, trace: list | None = None) -> GapReport:
-    """Multi-start descent on the gap; returns the best point found.
-
-    The first restart starts at the uniform point (all coordinates equal);
-    the rest start log-uniform over the grid range.  Restarts are seeded up
-    front, so the result is bit-identical for a fixed config regardless of
-    the thread count; ties between restarts break toward the lowest index.
-    """
-    if config is None:
-        config = SearchConfig()
-    n = instance.n
-    rng = np.random.default_rng(config.seed)
-    Y0 = rng.uniform(GRID_LOG_MIN, GRID_LOG_MAX, size=(config.restarts, n))
-    Y0[0] = 0.0
-    Y0[:, 0] = 0.0
-    if threads <= 1 or config.restarts == 1 or trace is not None:
-        results = [_descend_chunk(instance, Y0, config, 0, trace)]
-    else:
-        chunks = np.array_split(np.arange(config.restarts), min(threads, config.restarts))
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [
-                pool.submit(_descend_chunk, instance, Y0[idx], config, int(idx[0]), None)
-                for idx in chunks if len(idx)
-            ]
-            results = [f.result() for f in futures]
-    _, _, y_best = min(results, key=lambda r: (r[0], r[1]))
-    return evaluate(instance, np.exp(y_best))
+    return evaluate(instance, np.exp(Y[int(np.argmin(gap))]))
 
 
 def grid_oracle(instance: InequalityInstance, config: SearchConfig | None = None,
@@ -309,8 +287,7 @@ def exponent_monotonicity_check(n: int, k1: float, k2: float, x,
     return bool(np.all(lhs_terms - rhs_terms >= -slack))
 
 
-def sweep_exponent(n: int, k_values, config: SearchConfig | None = None,
-                   threads: int = 1) -> list[GapReport]:
+def sweep_exponent(n: int, k_values, config: SearchConfig | None = None) -> list[GapReport]:
     """Minimum gap of the constant-right-hand-side family for each exponent.
 
     How close the exponent can get to 1 before a violation appears is left
@@ -318,7 +295,4 @@ def sweep_exponent(n: int, k_values, config: SearchConfig | None = None,
     """
     if config is None:
         config = SearchConfig()
-    return [
-        minimize_gap(shapiro_exponent_instance(n, float(k)), config, threads=threads)
-        for k in k_values
-    ]
+    return [minimize_gap(shapiro_exponent_instance(n, float(k)), config) for k in k_values]

@@ -1,82 +1,42 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
-lines.  Tolerances are fixed here, not calibrated elsewhere.
+lines.  Each criterion runs the check body that `cyclineq selftest` runs,
+bound here to the full case set, and asserts how many cases it checked.
+Tolerances are fixed in those bodies, not calibrated elsewhere.
 """
 
-import itertools
 import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
-import numpy as np
-import pytest
-
 from cyclineq import (
-    RatioVector,
     SearchConfig,
-    admissible_exponents,
     block_alphabet_counts,
-    brute_force_count,
-    build_certificate,
-    certificate_sides,
-    check_certificate,
-    count_band_permutations,
     cyclic_blocks,
-    evaluate,
-    exponent_monotonicity_check,
-    gap_and_gradient,
-    grid_oracle,
     holds,
     identity_permutation,
-    lucas,
-    lucas_identity_report,
-    main_instance,
     make_permutation,
-    minimize_gap,
-    nesbitt_exponent_instance,
-    refute_main,
-    refute_nesbitt_exponent,
-    refute_shapiro_type,
-    shapiro_exponent_instance,
-    shapiro_type_instance,
-    shift_permutation,
 )
-from cyclineq.witness import DecompositionCertificate, RationalExponent
-
-TOL = 1e-9
-
-
-def all_perms(n):
-    return [make_permutation(n, p) for p in itertools.permutations(range(1, n + 1))]
-
-
-def k_grid(n):
-    return [k / 2 for k in range(-2 * n, 2 * n + 1)]
+from cyclineq.selftest import (
+    all_perms,
+    check_band_counts,
+    check_certificates,
+    check_classifier_vs_oracle,
+    check_nesbitt,
+    check_properties,
+    check_shapiro_cases,
+    check_shift_verdicts,
+)
 
 
 def test_criterion_1_classifier_oracle_equivalence():
     """holds() agrees with the numeric oracles and the refuter everywhere."""
     config = SearchConfig(restarts=50, max_iters=150, seed=0, grid_points_per_dim=13)
-    checked_hold = checked_fail = 0
-    for n in (2, 3, 4, 5):
-        for sigma in all_perms(n):
-            for k in k_grid(n):
-                inst = main_instance(sigma, k)
-                if holds(sigma, k):
-                    if n <= 4:
-                        gap = grid_oracle(inst, config).gap
-                        assert gap >= -TOL, (sigma.images, k, "grid", gap)
-                    gap = minimize_gap(inst, config).gap
-                    assert gap >= -TOL, (sigma.images, k, "search", gap)
-                    checked_hold += 1
-                else:
-                    gap = refute_main(sigma, k).gap
-                    assert gap < -TOL, (sigma.images, k, "refute", gap)
-                    checked_fail += 1
-    total_perms = sum(math.factorial(n) for n in (2, 3, 4, 5))
-    print(f"\n[ACCEPTANCE 1] PASS  {total_perms} permutations, "
-          f"{checked_hold} admissible and {checked_fail} refuted (sigma, k) pairs")
+    counts = check_classifier_vs_oracle((2, 3, 4, 5), (2, 3, 4), config)
+    assert counts == {"permutations": 152, "admissible": 1212, "refuted": 1812}
+    print(f"\n[ACCEPTANCE 1] PASS  {counts['permutations']} permutations, "
+          f"{counts['admissible']} admissible and {counts['refuted']} refuted (sigma, k) pairs")
 
 
 def _rational_candidates():
@@ -92,7 +52,6 @@ def _rational_candidates():
 def test_criterion_2_certificate_soundness_and_semantics():
     """>= 100 admissible rational pairs: checked, numerically faithful,
     and rejecting single-count mutations."""
-    rng = np.random.default_rng(42)
     candidates = _rational_candidates()
     pairs = []
     for n in (2, 3, 4, 5):
@@ -104,40 +63,17 @@ def test_criterion_2_certificate_soundness_and_semantics():
                 pairs.append((sigma, max(pos, key=lambda q: (q.denominator, -q))))
             if neg:
                 pairs.append((sigma, min(neg, key=lambda q: (q.denominator, -q))))
-    assert len(pairs) >= 100
-    mutation_rejections = 0
-    for idx, (sigma, k) in enumerate(pairs):
-        cert = build_certificate(sigma, k)
-        assert check_certificate(cert, sigma), (sigma.images, k)
-        for _ in range(10):
-            x = rng.uniform(0.3, 3.0, sigma.n)
-            _, rhs = certificate_sides(cert, x)
-            direct = sum(x[i] / x[sigma.apply(i + 1) - 1] for i in range(sigma.n))
-            assert abs(rhs - direct) <= 1e-10 * direct, (sigma.images, k)
-        if idx < 25:
-            rows = [list(row) for row in cert.summands]
-            i = int(rng.integers(sigma.n))
-            j = int(rng.integers(sigma.n))
-            rows[i][j] += 1
-            mutated = DecompositionCertificate(
-                cert.n, cert.u, cert.v, cert.alphabet,
-                tuple(tuple(r) for r in rows), cert.rounds)
-            assert not check_certificate(mutated, sigma)
-            mutation_rejections += 1
-    print(f"\n[ACCEPTANCE 2] PASS  {len(pairs)} certificates checked at 10 "
-          f"random vectors each; {mutation_rejections} mutations rejected")
+    counts = check_certificates(pairs, draws=10, mutations=25, seed=42)
+    assert counts == {"certificates": 304, "mutations": 25}
+    print(f"\n[ACCEPTANCE 2] PASS  {counts['certificates']} certificates checked at 10 "
+          f"random vectors each; {counts['mutations']} mutations rejected")
 
 
 def test_criterion_3_shift_corollaries():
     """Every cyclic shift classifies to exactly its shift thresholds."""
-    rows = 0
-    for n in range(3, 9):
-        for s in range(n):
-            verdict = admissible_exponents(shift_permutation(n, s))
-            expected = (s, n - s) if s > 0 else (0, 0)
-            assert (verdict.d_plus, verdict.d_minus) == expected, (n, s, verdict)
-            rows += 1
-    print(f"\n[ACCEPTANCE 3] PASS  {rows} shifts over n=3..8")
+    counts = check_shift_verdicts(range(3, 9))
+    assert counts == {"shifts": 33}
+    print(f"\n[ACCEPTANCE 3] PASS  {counts['shifts']} shifts over n=3..8")
 
 
 def test_criterion_4_equal_multiplicity_in_every_block():
@@ -154,30 +90,19 @@ def test_criterion_4_equal_multiplicity_in_every_block():
 
 
 def test_criterion_5_curved_denominator_table():
-    """The dimension-by-dimension case table for curved denominators."""
-    config = SearchConfig(restarts=50, max_iters=400, seed=0, grid_points_per_dim=13)
+    """The dimension-by-dimension case table for curved denominators: the
+    n=2 closed-form minimum, n=3 holding up to exponent 1 and failing at
+    1.5, and the n=4 all-ones gap 4/2^1.5 - 2."""
     swap = make_permutation(2, [2, 1])
-    # n=2: the minimum of t^k + (1-t)^k is 2^(1-k), dipping below 1 iff k > 1
-    for k in (1.0, 1.2, 1.5, 2.0, 3.0):
-        report = minimize_gap(shapiro_type_instance(swap, k), config)
-        min_lhs = report.gap + 1.0  # the rhs is the constant 1 here
-        assert abs(min_lhs - 2 ** (1 - k)) <= TOL, (k, min_lhs)
-        assert (min_lhs < 1) == (k > 1)
-    for k in (0.3, 0.8):
-        assert minimize_gap(shapiro_type_instance(swap, k), config).gap >= -TOL
-    # n=3 constant right-hand side: holds up to exponent 1, fails at 1.5
-    for sigma in (identity_permutation(3), make_permutation(3, [2, 1, 3])):
-        for k in (0.4, 0.9, 1.0):
-            inst = shapiro_type_instance(sigma, k)
-            assert grid_oracle(inst, config).gap >= -TOL
-            assert minimize_gap(inst, config).gap >= -TOL
-        report = refute_shapiro_type(sigma, 1.5)
-        assert report.x == (1.0, 1.0, 1.0)
-        assert abs(report.gap - (3 * 2 ** -1.5 - 1.5)) <= TOL
-    # n=4 identity at k=1.5: the all-ones gap is 4/2^1.5 - 2
-    report = refute_shapiro_type(identity_permutation(4), 1.5)
-    assert abs(report.gap - (4 * 2 ** -1.5 - 2)) <= TOL
-    assert report.gap == pytest.approx(-0.5857864376269049, abs=TOL)
+    n3 = (identity_permutation(3), make_permutation(3, [2, 1, 3]))
+    counts = check_shapiro_cases(
+        swap_exponents=[1.0, 1.2, 1.5, 2.0, 3.0],
+        holding=[(swap, 0.3), (swap, 0.8)] + [(s, k) for s in n3 for k in (0.4, 0.9, 1.0)],
+        refuted=[(s, 1.5) for s in n3] + [(identity_permutation(4), 1.5)],
+        grid_dims=(3,),
+        config=SearchConfig(restarts=50, max_iters=400, seed=0, grid_points_per_dim=13),
+    )
+    assert counts == {"minima": 5, "holding": 8, "refuted": 3}
     print("\n[ACCEPTANCE 5] PASS  n=2 closed-form minimum, n=3 threshold at "
           "k=1, n=4 all-ones gap -0.5857864376")
 
@@ -190,31 +115,19 @@ def test_criterion_6_small_exponent_counterexample():
     def dpow(base, expo):
         return (Decimal(expo) * Decimal(base).ln()).exp()
 
-    recomputed = dpow(5, "0.1") + 2 * dpow(Decimal(1) / 11, "0.1") - 3 * dpow(2, "-0.1")
-    assert abs(float(recomputed) - (-0.05089314712885877)) < 1e-15
-    report = refute_nesbitt_exponent()
-    assert report.gap < 0
-    assert abs(report.gap - float(recomputed)) <= TOL
-    assert abs(report.lhs - float(dpow(5, "0.1") + 2 * dpow(Decimal(1) / 11, "0.1"))) <= TOL
-    assert abs(report.rhs - float(3 * dpow(2, "-0.1"))) <= TOL
-    print(f"\n[ACCEPTANCE 6] PASS  gap {report.gap:.12f} matches the "
-          f"independently recomputed {float(recomputed):.12f}")
+    lhs = dpow(5, "0.1") + 2 * dpow(Decimal(1) / 11, "0.1")
+    rhs = 3 * dpow(2, "-0.1")
+    assert abs(float(lhs - rhs) - (-0.05089314712885877)) < 1e-15
+    gap = check_nesbitt(float(lhs), float(rhs), float(lhs - rhs))["gap"]
+    print(f"\n[ACCEPTANCE 6] PASS  gap {gap:.12f} matches the "
+          f"independently recomputed {float(lhs - rhs):.12f}")
 
 
 def test_criterion_7_band_counts():
-    """Permanent counting agrees with enumeration; the Lucas identity holds
-    above the empirically pinned outlier n=2."""
-    for n in range(2, 9):
-        for k in range(n):
-            assert count_band_permutations(n, k) == brute_force_count(n, k), (n, k)
-        assert count_band_permutations(n, 0) == 1
-        assert count_band_permutations(n, 1) == 2
-    rows = lucas_identity_report(12)
-    outliers = [row.n for row in rows if not row.match]
-    assert outliers == [2]
-    for row in rows:
-        if row.n >= 3:
-            assert row.count == 2 + lucas(row.n)
+    """Transfer-matrix counting agrees with enumeration; the Lucas identity
+    holds above the empirically pinned outlier n=2."""
+    counts = check_band_counts(range(2, 9), 12)
+    assert counts == {"pairs": 35, "lucas_rows": 11}
     print("\n[ACCEPTANCE 7] PASS  permanents == enumeration for n<=8; "
           "P(n,2) = 2 + L_n for 3 <= n <= 12; outlier set {2}")
 
@@ -222,54 +135,9 @@ def test_criterion_7_band_counts():
 def test_criterion_8_property_suite():
     """Scale invariance, gradient agreement, unit ratio product, and the
     termwise concavity comparison, at full draw counts."""
-    rng = np.random.default_rng(2024)
-    # scale invariance across kinds, relative tolerance 1e-12
-    instances = []
-    for n in (2, 3, 4, 5):
-        perms = all_perms(n)
-        for _ in range(3):
-            sigma = perms[int(rng.integers(len(perms)))]
-            instances.append(main_instance(sigma, float(rng.uniform(-4, 4))))
-            instances.append(shapiro_type_instance(sigma, float(rng.uniform(0, 3))))
-        instances.append(shapiro_exponent_instance(n, float(rng.uniform(0.1, 2))))
-        instances.append(nesbitt_exponent_instance(n, float(rng.uniform(0.05, 2))))
-    scale_draws = 0
-    for inst in instances:
-        for _ in range(10):
-            x = rng.uniform(0.05, 20.0, inst.n)
-            c = float(rng.uniform(1e-3, 1e3))
-            base, scaled = evaluate(inst, x), evaluate(inst, c * x)
-            assert abs(scaled.gap - base.gap) <= 1e-12 * (base.lhs + base.rhs)
-            scale_draws += 1
-    # analytic vs finite-difference gradients, relative 1e-6
-    grad_draws = 0
-    for inst in instances:
-        for _ in range(3):
-            y = rng.uniform(-1.5, 1.5, inst.n)
-            _, grad = gap_and_gradient(inst, y)
-            fd = np.empty(inst.n)
-            h = 1e-6
-            for j in range(inst.n):
-                yp, ym = y.copy(), y.copy()
-                yp[j] += h
-                ym[j] -= h
-                fd[j] = (gap_and_gradient(inst, yp)[0]
-                         - gap_and_gradient(inst, ym)[0]) / (2 * h)
-            assert np.linalg.norm(grad - fd) <= 1e-6 * max(1.0, np.linalg.norm(grad))
-            grad_draws += 1
-    # unit product of the ratio alphabet
-    for _ in range(300):
-        x = rng.uniform(0.01, 100.0, int(rng.integers(2, 9)))
-        assert abs(RatioVector.from_x(x).product() - 1) < 1e-12
-    # termwise concavity comparison: 1000 draws, zero failures
-    failures = 0
-    for _ in range(1000):
-        n = int(rng.integers(2, 8))
-        k2 = float(rng.uniform(0.05, 1.0))
-        k1 = float(rng.uniform(0.01, k2))
-        x = rng.uniform(0.05, 20.0, n)
-        if not exponent_monotonicity_check(n, k1, k2, x):
-            failures += 1
-    assert failures == 0
-    print(f"\n[ACCEPTANCE 8] PASS  {scale_draws} scale draws, {grad_draws} "
-          f"gradient draws, 300 ratio products, 1000 concavity draws, 0 failures")
+    counts = check_properties((2, 3, 4, 5), 3, scale_draws=10, grad_draws=3,
+                              ratio_draws=300, concavity_draws=1000, seed=2024)
+    assert counts == {"scale": 320, "gradient": 96, "ratio": 300, "concavity": 1000}
+    print(f"\n[ACCEPTANCE 8] PASS  {counts['scale']} scale draws, {counts['gradient']} "
+          f"gradient draws, {counts['ratio']} ratio products, "
+          f"{counts['concavity']} concavity draws, 0 failures")

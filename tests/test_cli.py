@@ -87,10 +87,24 @@ class TestRefute:
                        "--sigma", "[1,2,3,4]", "--k", "1.5")
         assert doc["x"] == [1.0, 1.0, 1.0, 1.0]
 
+    @pytest.mark.parametrize("k", ["--k=1.9999", "--k=-1.9999"])
+    def test_tiny_overshoot_is_one_line_domain_error(self, capsys, k):
+        code, out, err = run(capsys, "refute", "--ineq", "main", "--n", "4",
+                             "--sigma", "shift:2", k)
+        assert code == 1 and out == ""
+        assert err == ("error: overshoot R=0.0001 is too small: the geometric "
+                       "counterexample needs coordinates near 10^20969, "
+                       "past the float64 range\n")
+
     def test_not_refutable_is_domain_error(self, capsys):
         code, _, err = run(capsys, "refute", "--ineq", "main", "--n", "3",
                            "--sigma", "[1,2,3]", "--k", "1")
         assert code == 1 and "holds" in err
+
+
+SEARCH = ["search", "--ineq", "nesbitt", "--n", "3"]
+SWEEP = ["shapiro", "--n", "3", "--k-steps", "2"]
+AT_LEAST_ONE = "restarts, max_iters, grid_points_per_dim must be >= 1"
 
 
 class TestSearch:
@@ -101,15 +115,10 @@ class TestSearch:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
-    def test_threads_do_not_change_output(self, capsys, monkeypatch):
-        args = ("search", "--ineq", "shapiro-exponent", "--n", "4", "--k", "0.9",
-                "--restarts", "9", "--seed", "2")
-        _, out1, _ = run(capsys, *args)
-        _, out2, _ = run(capsys, *args, "--threads", "3")
-        assert out1 == out2
-        monkeypatch.setenv("CYCLINEQ_THREADS", "2")
-        _, out3, _ = run(capsys, *args)
-        assert out1 == out3
+    def test_emit_plot_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*SEARCH, "--emit-plot", "plot.csv"])
+        assert exc.value.code == 2
 
     def test_grid_mode(self, capsys):
         doc = run_json(capsys, "search", "--ineq", "main", "--sigma", "shift:2",
@@ -132,6 +141,20 @@ class TestSearch:
     def test_missing_sigma_is_domain_error(self, capsys):
         code, _, err = run(capsys, "search", "--ineq", "main", "--k", "1")
         assert code == 1 and "--sigma" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        ([*SEARCH, "--restarts", "0"], AT_LEAST_ONE),
+        ([*SEARCH, "--max-iters", "0"], AT_LEAST_ONE),
+        ([*SEARCH, "--grid-points", "0"], AT_LEAST_ONE),
+        ([*SEARCH, "--seed", "-1"], "seed must be a nonnegative integer"),
+        ([*SWEEP, "--restarts", "0"], AT_LEAST_ONE),
+        ([*SWEEP, "--max-iters", "0"], AT_LEAST_ONE),
+        ([*SWEEP, "--seed", "-1"], "seed must be a nonnegative integer"),
+    ])
+    def test_bad_budget_is_one_line_domain_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestCount:

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from cyclineq import (
+    BudgetExceeded,
     InequalityKind,
     NotRefutable,
     evaluate,
@@ -63,6 +64,16 @@ class TestRefuteMainNegative:
     def test_identity_not_refutable(self):
         with pytest.raises(NotRefutable):
             refute_main_negative_k(identity_permutation(4), -5.0)
+
+    @pytest.mark.parametrize("k", [1.9999, -1.9999])
+    def test_tiny_overshoot_exceeds_float_range(self, k):
+        # R = 1e-4 would need coordinates near 10^20969
+        with pytest.raises(BudgetExceeded, match="overshoot R=0.0001"):
+            refute_main(shift_permutation(4, 2), k)
+
+    def test_overshoot_half_at_n96_exceeds_float_range(self):
+        with pytest.raises(BudgetExceeded, match="overshoot R=0.5"):
+            refute_main(shift_permutation(96, 2), 1.5)
 
     def test_dispatch(self):
         assert refute_main(shift_permutation(4, 2), 1.0).gap < 0

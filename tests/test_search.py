@@ -114,13 +114,10 @@ class TestMinimizeGap:
                               SearchConfig(restarts=16, seed=0))
         assert report.gap < -1e-9
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic(self):
         inst = shapiro_type_instance(make_permutation(4, [2, 1, 4, 3]), 0.8)
         config = SearchConfig(restarts=12, seed=7)
-        a = minimize_gap(inst, config)
-        b = minimize_gap(inst, config)
-        c = minimize_gap(inst, config, threads=3)
-        assert a == b == c
+        assert minimize_gap(inst, config) == minimize_gap(inst, config)
 
     def test_trace_collects_iterates(self):
         rows = []
@@ -169,12 +166,16 @@ class TestGradient:
         shift_instance(5, 3, 1.1),
         shapiro_type_instance(make_permutation(4, [2, 3, 4, 1]), 0.9),
         shapiro_type_instance(make_permutation(2, [2, 1]), 2.0),
+        # scatter of the right-hand-side terms: a non-involution, and an
+        # involution, where sigma^2 is the identity
+        shapiro_type_instance(make_permutation(7, [4, 7, 1, 6, 2, 3, 5]), 1.3),
+        shapiro_type_instance(make_permutation(6, [2, 1, 4, 3, 6, 5]), 0.7),
         shapiro_exponent_instance(5, 0.6),
         nesbitt_classic_instance(4),
         nesbitt_exponent_instance(5, 0.3),
     ])
     def test_matches_central_differences(self, inst):
-        rng = np.random.default_rng(hash(inst.kind.value) % 2**32)
+        rng = np.random.default_rng(0)
         for _ in range(5):
             y = rng.uniform(-1.5, 1.5, inst.n)
             _, grad = gap_and_gradient(inst, y)
