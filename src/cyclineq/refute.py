@@ -18,7 +18,7 @@ from math import isfinite, log
 from sys import float_info
 
 from .classify import holds, violating_indices
-from .errors import BudgetExceeded, NotRefutable
+from .errors import NotRefutable
 from .perm import Permutation, shift_permutation, wrap_index
 from .search import (
     GapReport,
@@ -121,7 +121,7 @@ def _geometric_vector(n: int, start: int, step: int, overshoot: float) -> list[f
     # the largest coordinate bounds the ratio too, since n - 1 >= 1
     log_largest = log(2.0) + (n - 1) * log(n + 1) / overshoot
     if log_largest > log(float_info.max):
-        raise BudgetExceeded(
+        raise OverflowError(
             f"overshoot R={overshoot:.6g} is too small: the geometric counterexample "
             f"needs coordinates near 10^{log_largest / log(10):.0f}, past the float64 range"
         )
@@ -137,8 +137,8 @@ def refute_main_positive_k(sigma: Permutation, k: float) -> CounterexampleReport
 
     With i0 the index of largest forward displacement and R its overshoot
     past k, the vector fixes x_{i0-1} = 2 and grows by the factor
-    (n+1)^(1/R) at each step backward from there.  Raises BudgetExceeded
-    when R is so small that the vector leaves the float64 range.
+    (n+1)^(1/R) at each step backward from there.  Raises OverflowError,
+    naming R, when R is so small that the vector leaves the float64 range.
     """
     if k < 0:
         raise ValueError("use refute_main_negative_k for k < 0")

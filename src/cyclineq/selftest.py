@@ -33,7 +33,13 @@ from .search import (
 from .witness import RationalExponent, RatioVector, build_certificate, \
     certificate_sides, check_certificate
 
-TOL = 1e-9
+# Tolerances of the check bodies; tests/test_acceptance.py pins their values.
+TOL = 1e-9  # gaps and closed-form values, absolute
+CERT_RTOL = 1e-10  # certificate right-hand side against the direct sum
+SCALE_RTOL = 1e-12  # gap change under x -> c x, relative to lhs + rhs
+FD_STEP = 1e-6  # central-difference step
+FD_RTOL = 1e-6  # analytic against finite-difference gradient
+RATIO_TOL = 1e-12  # product of the ratio alphabet against 1
 
 
 class CheckFailed(AssertionError):
@@ -109,7 +115,7 @@ def check_certificates(pairs, draws: int, mutations: int, seed: int, fault=False
             x = rng.uniform(0.3, 3.0, sigma.n)
             _, rhs = certificate_sides(cert, x)
             direct = sum(x[i] / x[sigma.apply(i + 1) - 1] for i in range(sigma.n))
-            _require(abs(rhs - direct) <= 1e-10 * direct,
+            _require(abs(rhs - direct) <= CERT_RTOL * direct,
                      f"numeric mismatch for sigma={sigma.images}, k={k}")
         if idx < mutations:
             mutated = _bump(cert, int(rng.integers(sigma.n)), int(rng.integers(sigma.n)))
@@ -201,25 +207,24 @@ def check_properties(dims, sigmas_per_dim: int, scale_draws: int, grad_draws: in
             x = rng.uniform(0.05, 20.0, inst.n)
             c = float(rng.uniform(1e-3, 1e3))
             base, scaled = evaluate(inst, x), evaluate(inst, c * x)
-            _require(abs(scaled.gap - base.gap) <= 1e-12 * (base.lhs + base.rhs),
+            _require(abs(scaled.gap - base.gap) <= SCALE_RTOL * (base.lhs + base.rhs),
                      f"scale invariance broken for {inst.kind.value} at c={c}")
     for inst in instances:
         for _ in range(grad_draws):
             y = rng.uniform(-1.5, 1.5, inst.n)
             _, grad = gap_and_gradient(inst, y)
             fd = np.empty(inst.n)
-            h = 1e-6
             for j in range(inst.n):
                 yp, ym = y.copy(), y.copy()
-                yp[j] += h
-                ym[j] -= h
+                yp[j] += FD_STEP
+                ym[j] -= FD_STEP
                 fd[j] = (gap_and_gradient(inst, yp)[0]
-                         - gap_and_gradient(inst, ym)[0]) / (2 * h)
-            _require(np.linalg.norm(grad - fd) <= 1e-6 * max(1.0, np.linalg.norm(grad)),
+                         - gap_and_gradient(inst, ym)[0]) / (2 * FD_STEP)
+            _require(np.linalg.norm(grad - fd) <= FD_RTOL * max(1.0, np.linalg.norm(grad)),
                      f"{inst.kind.value} gradient disagrees with finite differences")
     for _ in range(ratio_draws):
         x = rng.uniform(0.01, 100.0, int(rng.integers(2, 9)))
-        _require(abs(RatioVector.from_x(x).product() - 1) < 1e-12,
+        _require(abs(RatioVector.from_x(x).product() - 1) < RATIO_TOL,
                  "ratio product differs from 1")
     for _ in range(concavity_draws):
         n = int(rng.integers(2, 8))
@@ -266,7 +271,9 @@ CHECKS = [
 
 def run_selftest(inject_fault: str | None = None) -> list[tuple[str, bool, str]]:
     """Run every check in CHECKS; `inject_fault="witness"` corrupts the
-    certificates of the witness check."""
+    certificates of the witness check, the only one with a fault hook."""
+    if inject_fault not in (None, "witness"):
+        raise ValueError(f"only the witness check takes an injected fault, got {inject_fault!r}")
     results = []
     for name, check, detail in CHECKS:
         try:

@@ -3,7 +3,8 @@
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines.  Each criterion runs the check body that `cyclineq selftest` runs,
 bound here to the full case set, and asserts how many cases it checked.
-Tolerances are fixed in those bodies, not calibrated elsewhere.
+The bodies' tolerances are constants of cyclineq.selftest, pinned below,
+so loosening one there fails here.
 """
 
 import math
@@ -18,6 +19,7 @@ from cyclineq import (
     identity_permutation,
     make_permutation,
 )
+from cyclineq import selftest
 from cyclineq.selftest import (
     all_perms,
     check_band_counts,
@@ -28,6 +30,11 @@ from cyclineq.selftest import (
     check_shapiro_cases,
     check_shift_verdicts,
 )
+
+
+def test_tolerances_are_pinned():
+    assert (selftest.TOL, selftest.CERT_RTOL, selftest.SCALE_RTOL, selftest.FD_STEP,
+            selftest.FD_RTOL, selftest.RATIO_TOL) == (1e-9, 1e-10, 1e-12, 1e-6, 1e-6, 1e-12)
 
 
 def test_criterion_1_classifier_oracle_equivalence():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cyclineq.cli import main
+from cyclineq.selftest import run_selftest
 
 
 def run(capsys, *argv):
@@ -86,15 +87,6 @@ class TestRefute:
         doc = run_json(capsys, "refute", "--ineq", "shapiro", "--n", "4",
                        "--sigma", "[1,2,3,4]", "--k", "1.5")
         assert doc["x"] == [1.0, 1.0, 1.0, 1.0]
-
-    @pytest.mark.parametrize("k", ["--k=1.9999", "--k=-1.9999"])
-    def test_tiny_overshoot_is_one_line_domain_error(self, capsys, k):
-        code, out, err = run(capsys, "refute", "--ineq", "main", "--n", "4",
-                             "--sigma", "shift:2", k)
-        assert code == 1 and out == ""
-        assert err == ("error: overshoot R=0.0001 is too small: the geometric "
-                       "counterexample needs coordinates near 10^20969, "
-                       "past the float64 range\n")
 
     def test_not_refutable_is_domain_error(self, capsys):
         code, _, err = run(capsys, "refute", "--ineq", "main", "--n", "3",
@@ -231,6 +223,10 @@ class TestSelftest:
         by_name = {row["name"]: row["ok"] for row in doc["results"]}
         assert by_name["witness"] is False
         assert doc["ok"] is False
+
+    def test_fault_only_in_witness(self):
+        with pytest.raises(ValueError, match="only the witness check"):
+            run_selftest(inject_fault="nesbitt")
 
     def test_full_battery_passes(self, capsys):
         code, out, _ = run(capsys, "selftest")

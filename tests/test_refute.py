@@ -3,7 +3,6 @@ import math
 import pytest
 
 from cyclineq import (
-    BudgetExceeded,
     InequalityKind,
     NotRefutable,
     evaluate,
@@ -68,11 +67,11 @@ class TestRefuteMainNegative:
     @pytest.mark.parametrize("k", [1.9999, -1.9999])
     def test_tiny_overshoot_exceeds_float_range(self, k):
         # R = 1e-4 would need coordinates near 10^20969
-        with pytest.raises(BudgetExceeded, match="overshoot R=0.0001"):
+        with pytest.raises(OverflowError, match="overshoot R=0.0001"):
             refute_main(shift_permutation(4, 2), k)
 
     def test_overshoot_half_at_n96_exceeds_float_range(self):
-        with pytest.raises(BudgetExceeded, match="overshoot R=0.5"):
+        with pytest.raises(OverflowError, match="overshoot R=0.5"):
             refute_main(shift_permutation(96, 2), 1.5)
 
     def test_dispatch(self):
